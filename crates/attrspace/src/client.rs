@@ -12,14 +12,15 @@
 //! A dropped server connection is terminal by default. A client given a
 //! redial closure ([`AttrClient::set_redial`]) instead survives a
 //! server restart: on `Disconnected` it re-dials with jittered capped
-//! exponential backoff, replays its session state (joined contexts and
-//! live subscriptions), and retries the interrupted operation. Puts are
-//! last-writer-wins and gets are reads, so the retry is safe; replayed
-//! subscriptions re-deliver at-least-once (a notification can arrive
-//! twice across a reconnect — daemons key on the token, which stays
-//! stable). The space itself is *not* replayed — a restarted LASS comes
-//! back empty, exactly like the paper's model, and daemons re-put what
-//! they own.
+//! exponential backoff, replays its session state (joined contexts,
+//! live subscriptions and watches), and retries the interrupted
+//! operation. Puts are last-writer-wins and gets are reads, so the
+//! retry is safe; replayed subscriptions and watches re-deliver
+//! at-least-once (a notification can arrive twice across a reconnect,
+//! and a replayed watch re-fires the current value — daemons key on the
+//! token, which stays stable). The space itself is *not* replayed — a
+//! restarted LASS comes back empty, exactly like the paper's model, and
+//! daemons re-put what they own.
 
 use rand::SmallRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -115,6 +116,9 @@ struct Redial {
     /// Live one-shot subscriptions by token (pruned when the
     /// notification fires or the daemon unsubscribes).
     subs: BTreeMap<u64, (ContextId, String, bool)>,
+    /// Persistent watches by token (pruned only when the daemon
+    /// unsubscribes).
+    watches: BTreeMap<u64, (ContextId, String)>,
     reconnects: u64,
 }
 
@@ -184,6 +188,7 @@ impl AttrClient {
             policy,
             joined: BTreeSet::new(),
             subs: BTreeMap::new(),
+            watches: BTreeMap::new(),
             reconnects: 0,
         });
     }
@@ -297,11 +302,38 @@ impl AttrClient {
         Ok(())
     }
 
-    /// Cancel a subscription.
+    /// Register a persistent watch (the server half of
+    /// `TdpHandle::watch`). A notification carrying `token` arrives via
+    /// [`AttrClient::poll_notify`] at once if `key` has a value, then on
+    /// every put of `key`, until [`AttrClient::unsubscribe`] cancels it,
+    /// the session ends or the context is destroyed. This one round
+    /// trip registers it for good; with redial armed it is registered
+    /// again on reconnect, which re-fires the current value.
+    ///
+    /// Backpressure: every put queues one notification in the transport
+    /// until the daemon drains it. Over epoll the queue is bounded by
+    /// this connection's 1024-message inbox and the server's 256 KiB
+    /// outbox to it; a watcher that stops draining for longer than the
+    /// transport's `write_timeout` is stall-killed like any peer that
+    /// stops reading. Netsim connections are unbounded.
+    pub fn watch(&mut self, ctx: ContextId, key: &str, token: u64) -> TdpResult<()> {
+        self.expect_ok(Message::Watch {
+            ctx,
+            key: key.to_string(),
+            token,
+        })?;
+        if let Some(r) = self.redial.as_mut() {
+            r.watches.insert(token, (ctx, key.to_string()));
+        }
+        Ok(())
+    }
+
+    /// Cancel a subscription or a watch.
     pub fn unsubscribe(&mut self, ctx: ContextId, token: u64) -> TdpResult<()> {
         self.expect_ok(Message::Unsubscribe { ctx, token })?;
         if let Some(r) = self.redial.as_mut() {
             r.subs.remove(&token);
+            r.watches.remove(&token);
         }
         Ok(())
     }
@@ -428,7 +460,7 @@ impl AttrClient {
         let start = Instant::now();
         let mut delay = r.policy.base;
         loop {
-            match (r.dial)().and_then(|conn| Self::replay_session(conn, &r.joined, &r.subs)) {
+            match (r.dial)().and_then(|conn| Self::replay_session(conn, r)) {
                 Ok((conn, notes)) => {
                     for n in &notes {
                         r.subs.remove(&n.token);
@@ -461,15 +493,12 @@ impl AttrClient {
         }
     }
 
-    /// Replay joins and live subscriptions on a fresh connection.
-    /// Subscriptions are replayed with `only_future = false`: a value
-    /// put while we were away must still wake its subscriber. Notifies
-    /// that fire during the replay are collected for the pending queue.
-    fn replay_session(
-        mut conn: WireConn,
-        joined: &BTreeSet<ContextId>,
-        subs: &BTreeMap<u64, (ContextId, String, bool)>,
-    ) -> TdpResult<(WireConn, Vec<Notification>)> {
+    /// Replay joins, live subscriptions and watches on a fresh
+    /// connection. Subscriptions are replayed with `only_future =
+    /// false`: a value put while we were away must still wake its
+    /// subscriber. Notifies that fire during the replay are collected
+    /// for the pending queue.
+    fn replay_session(mut conn: WireConn, r: &Redial) -> TdpResult<(WireConn, Vec<Notification>)> {
         const REPLAY_TIMEOUT: Duration = Duration::from_secs(5);
         let mut notes = Vec::new();
         let mut roundtrip = |conn: &mut WireConn, msg: &Message| -> TdpResult<()> {
@@ -487,10 +516,10 @@ impl AttrClient {
                 }
             }
         };
-        for ctx in joined {
+        for ctx in &r.joined {
             roundtrip(&mut conn, &Message::Join { ctx: *ctx })?;
         }
-        for (token, (ctx, key, _only_future)) in subs {
+        for (token, (ctx, key, _only_future)) in &r.subs {
             roundtrip(
                 &mut conn,
                 &Message::Subscribe {
@@ -498,6 +527,16 @@ impl AttrClient {
                     key: key.clone(),
                     token: *token,
                     only_future: false,
+                },
+            )?;
+        }
+        for (token, (ctx, key)) in &r.watches {
+            roundtrip(
+                &mut conn,
+                &Message::Watch {
+                    ctx: *ctx,
+                    key: key.clone(),
+                    token: *token,
                 },
             )?;
         }

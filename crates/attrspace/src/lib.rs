@@ -19,6 +19,8 @@
 //! * `get` (non-blocking) — error if absent;
 //! * `subscribe`/`unsubscribe` — one-shot asynchronous notification,
 //!   backing `tdp_async_get`;
+//! * `watch` — persistent notification on every put of a key, until
+//!   unsubscribed, backing `TdpHandle::watch`;
 //! * `remove`, `list_keys` — housekeeping.
 //!
 //! The crate is split into a **pure state machine** ([`space::Space`]:

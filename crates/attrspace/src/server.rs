@@ -172,6 +172,7 @@ fn serve_client(shared: Arc<Shared>, client: u64, conn: WireConn) {
                     token,
                     only_future,
                 } => space.subscribe(client, ctx, &key, token, only_future),
+                Message::Watch { ctx, key, token } => space.watch(client, ctx, &key, token),
                 Message::Unsubscribe { ctx, token } => space.unsubscribe(client, ctx, token),
                 Message::ListKeys { ctx, prefix } => space.list_keys(client, ctx, &prefix),
                 Message::Join { ctx } => space.join(client, ctx),

@@ -5,8 +5,8 @@
 //! nothing now and a `Value` later, when some `put` satisfies it. The
 //! networked server is a thin shell over this type; all protocol
 //! invariants (context refcounting, waiter wake-up, one-shot
-//! subscriptions, disconnect cleanup) live here where they can be unit-
-//! and property-tested without threads.
+//! subscriptions, persistent watches, disconnect cleanup) live here
+//! where they can be unit- and property-tested without threads.
 
 use std::collections::HashMap;
 use tdp_proto::attr::{validate_key, validate_value};
@@ -18,6 +18,17 @@ pub type ClientId = u64;
 /// A reply to route to a client.
 pub type Out = (ClientId, Reply);
 
+/// Notification registrations of one kind: key → (client, token).
+type Registrations = HashMap<String, Vec<(ClientId, u64)>>;
+
+/// Drop every registration `gone` matches, and keys left with none.
+fn drop_registrations(regs: &mut Registrations, gone: impl Fn(ClientId, u64) -> bool) {
+    for list in regs.values_mut() {
+        list.retain(|&(client, token)| !gone(client, token));
+    }
+    regs.retain(|_, list| !list.is_empty());
+}
+
 /// One context's state.
 #[derive(Default)]
 struct Ctx {
@@ -27,8 +38,10 @@ struct Ctx {
     members: Vec<ClientId>,
     /// Parked blocking gets: key → waiters.
     waiters: HashMap<String, Vec<ClientId>>,
-    /// One-shot subscriptions: key → (client, token).
-    subs: HashMap<String, Vec<(ClientId, u64)>>,
+    /// One-shot subscriptions, consumed by the put that fires them.
+    subs: Registrations,
+    /// Persistent watches, fired by every put and never consumed.
+    watches: Registrations,
 }
 
 /// The attribute space: a set of reference-counted contexts.
@@ -70,7 +83,9 @@ impl Space {
 
     /// `tdp_exit`: leave a context; the last leaver destroys it. Parked
     /// getters of a destroyed context receive an error (their daemon
-    /// would otherwise hang forever on a dead space).
+    /// would otherwise hang forever on a dead space). A client that
+    /// drops its last reference to a surviving context loses its
+    /// subscriptions and watches there; its parked getters stay parked.
     pub fn leave(&mut self, client: ClientId, ctx: ContextId) -> Vec<Out> {
         let Some(c) = self.contexts.get_mut(&ctx) else {
             return vec![(client, Reply::Err(TdpError::NoSuchContext(ctx)))];
@@ -79,6 +94,10 @@ impl Space {
             return vec![(client, Reply::Err(TdpError::NoSuchContext(ctx)))];
         };
         c.members.remove(pos);
+        if !c.members.contains(&client) {
+            drop_registrations(&mut c.subs, |cl, _| cl == client);
+            drop_registrations(&mut c.watches, |cl, _| cl == client);
+        }
         let mut out = vec![(client, Reply::Ok)];
         if c.members.is_empty() {
             let c = self.contexts.remove(&ctx).expect("present");
@@ -91,8 +110,8 @@ impl Space {
         out
     }
 
-    /// `tdp_put`: validate and store, waking blocked getters and firing
-    /// (and consuming) subscriptions on the key.
+    /// `tdp_put`: validate and store, waking blocked getters, firing
+    /// (and consuming) subscriptions and firing watches on the key.
     pub fn put(&mut self, client: ClientId, ctx: ContextId, key: &str, value: &str) -> Vec<Out> {
         if let Err(e) = validate_key(key) {
             return vec![(client, Reply::Err(e))];
@@ -117,17 +136,16 @@ impl Space {
                 ));
             }
         }
+        let notify = |token| Reply::Notify {
+            token,
+            key: key.to_string(),
+            value: value.to_string(),
+        };
         if let Some(subs) = c.subs.remove(key) {
-            for (s, token) in subs {
-                out.push((
-                    s,
-                    Reply::Notify {
-                        token,
-                        key: key.to_string(),
-                        value: value.to_string(),
-                    },
-                ));
-            }
+            out.extend(subs.into_iter().map(|(s, token)| (s, notify(token))));
+        }
+        if let Some(watches) = c.watches.get(key) {
+            out.extend(watches.iter().map(|&(w, token)| (w, notify(token))));
         }
         out
     }
@@ -173,10 +191,10 @@ impl Space {
     /// One-shot subscription. With `only_future` false (the
     /// `tdp_async_get` case): if the key already has a value, notify
     /// immediately; otherwise notify on the next put. With it true the
-    /// current value is skipped and only a subsequent put fires (used
-    /// when persistent watches re-arm). Either way the subscription is
-    /// consumed by its notification. The immediate `Ok` acknowledges
-    /// registration (the `tdp_async_get` call returning).
+    /// current value is skipped and only a subsequent put fires. Either
+    /// way the subscription is consumed by its notification. The
+    /// immediate `Ok` acknowledges registration (the `tdp_async_get`
+    /// call returning).
     pub fn subscribe(
         &mut self,
         client: ClientId,
@@ -211,14 +229,41 @@ impl Space {
         out
     }
 
-    /// Cancel one of the client's pending subscriptions by token.
+    /// Persistent watch: notify at once if the key already has a value,
+    /// then on every put of the key, until the client unsubscribes the
+    /// token, disconnects, leaves the context for the last time or the
+    /// context is destroyed. `remove` does not fire it.
+    pub fn watch(&mut self, client: ClientId, ctx: ContextId, key: &str, token: u64) -> Vec<Out> {
+        let c = match self.member_mut(client, ctx) {
+            Ok(c) => c,
+            Err(e) => return vec![(client, Reply::Err(e))],
+        };
+        let mut out = vec![(client, Reply::Ok)];
+        if let Some(v) = c.attrs.get(key) {
+            out.push((
+                client,
+                Reply::Notify {
+                    token,
+                    key: key.to_string(),
+                    value: v.clone(),
+                },
+            ));
+        }
+        c.watches
+            .entry(key.to_string())
+            .or_default()
+            .push((client, token));
+        out
+    }
+
+    /// Cancel one of the client's pending subscriptions or watches by
+    /// token.
     pub fn unsubscribe(&mut self, client: ClientId, ctx: ContextId, token: u64) -> Vec<Out> {
         match self.member_mut(client, ctx) {
             Ok(c) => {
-                for subs in c.subs.values_mut() {
-                    subs.retain(|&(cl, t)| !(cl == client && t == token));
-                }
-                c.subs.retain(|_, v| !v.is_empty());
+                let gone = |cl, t| cl == client && t == token;
+                drop_registrations(&mut c.subs, gone);
+                drop_registrations(&mut c.watches, gone);
                 vec![(client, Reply::Ok)]
             }
             Err(e) => vec![(client, Reply::Err(e))],
@@ -245,7 +290,7 @@ impl Space {
     /// A client's connection dropped: implicitly leave every joined
     /// context (a crashed daemon must not pin a context alive — §3.2's
     /// destroy-on-last-exit would otherwise never trigger), and discard
-    /// its parked gets and subscriptions.
+    /// its parked gets, subscriptions and watches.
     pub fn disconnect(&mut self, client: ClientId) -> Vec<Out> {
         let mut out = Vec::new();
         let ctx_ids: Vec<ContextId> = self.contexts.keys().copied().collect();
@@ -255,10 +300,8 @@ impl Space {
                 ws.retain(|&w| w != client);
             }
             c.waiters.retain(|_, v| !v.is_empty());
-            for subs in c.subs.values_mut() {
-                subs.retain(|&(cl, _)| cl != client);
-            }
-            c.subs.retain(|_, v| !v.is_empty());
+            drop_registrations(&mut c.subs, |cl, _| cl == client);
+            drop_registrations(&mut c.watches, |cl, _| cl == client);
             // Release every reference this client held (it may have
             // joined the same context more than once).
             while let Some(pos) = c.members.iter().position(|&m| m == client) {
@@ -492,6 +535,105 @@ mod tests {
         s.unsubscribe(RT, CTX, 3);
         let out = s.put(RM, CTX, "k", "v");
         assert!(!out.iter().any(|(_, r)| matches!(r, Reply::Notify { .. })));
+    }
+
+    fn notifies(out: &[Out]) -> Vec<(ClientId, u64, String)> {
+        out.iter()
+            .filter_map(|(c, r)| match r {
+                Reply::Notify { token, value, .. } => Some((*c, *token, value.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn watch_fires_on_every_put() {
+        let mut s = joined();
+        assert_eq!(s.watch(RT, CTX, "status", 4), vec![(RT, Reply::Ok)]);
+        for v in ["running", "stopped", "running"] {
+            let out = s.put(RM, CTX, "status", v);
+            assert_eq!(notifies(&out), vec![(RT, 4, v.to_string())]);
+        }
+        // Other keys do not fire it.
+        assert!(notifies(&s.put(RM, CTX, "other", "x")).is_empty());
+    }
+
+    #[test]
+    fn watch_on_existing_value_fires_at_once() {
+        let mut s = joined();
+        s.put(RM, CTX, "pid", "42");
+        let out = s.watch(RT, CTX, "pid", 5);
+        assert_eq!(out[0], (RT, Reply::Ok));
+        assert_eq!(notifies(&out), vec![(RT, 5, "42".to_string())]);
+        // ... and keeps firing afterwards.
+        let out = s.put(RM, CTX, "pid", "43");
+        assert_eq!(notifies(&out), vec![(RT, 5, "43".to_string())]);
+    }
+
+    #[test]
+    fn remove_does_not_fire_watch() {
+        let mut s = joined();
+        s.put(RM, CTX, "k", "v");
+        s.watch(RT, CTX, "k", 6);
+        assert_eq!(s.remove(RM, CTX, "k"), vec![(RM, Reply::Ok)]);
+        // Still registered: the next put fires it.
+        assert_eq!(
+            notifies(&s.put(RM, CTX, "k", "w")),
+            vec![(RT, 6, "w".to_string())]
+        );
+    }
+
+    #[test]
+    fn unsubscribe_cancels_watch() {
+        let mut s = joined();
+        s.watch(RT, CTX, "k", 3);
+        s.watch(RT, CTX, "k", 8);
+        assert_eq!(s.unsubscribe(RT, CTX, 3), vec![(RT, Reply::Ok)]);
+        assert_eq!(
+            notifies(&s.put(RM, CTX, "k", "v")),
+            vec![(RT, 8, "v".to_string())]
+        );
+    }
+
+    #[test]
+    fn disconnect_drops_watch() {
+        let mut s = joined();
+        s.watch(RT, CTX, "k", 3);
+        s.disconnect(RT);
+        assert_eq!(s.put(RM, CTX, "k", "v"), vec![(RM, Reply::Ok)]);
+    }
+
+    #[test]
+    fn context_destruction_drops_watch() {
+        let mut s = joined();
+        s.watch(RT, CTX, "k", 3);
+        s.leave(RT, CTX);
+        s.leave(RM, CTX);
+        assert_eq!(s.context_count(), 0);
+        // A rejoined context starts without the old watch.
+        s.join(RM, CTX);
+        s.join(RT, CTX);
+        assert_eq!(s.put(RM, CTX, "k", "v"), vec![(RM, Reply::Ok)]);
+    }
+
+    #[test]
+    fn last_leave_of_a_member_drops_its_registrations() {
+        let mut s = joined();
+        s.join(RT, CTX);
+        s.watch(RT, CTX, "k", 3);
+        s.subscribe(RT, CTX, "k", 4, false);
+        // RT joined twice: one leave keeps its registrations.
+        s.leave(RT, CTX);
+        let out = s.put(RM, CTX, "k", "v1");
+        assert_eq!(
+            notifies(&out),
+            vec![(RT, 4, "v1".to_string()), (RT, 3, "v1".to_string())]
+        );
+        s.subscribe(RT, CTX, "k", 5, true);
+        // The second leave drops the watch and the pending subscription.
+        s.leave(RT, CTX);
+        assert_eq!(s.context_count(), 1);
+        assert_eq!(s.put(RM, CTX, "k", "v2"), vec![(RM, Reply::Ok)]);
     }
 
     #[test]

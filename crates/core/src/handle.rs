@@ -3,6 +3,7 @@
 use crate::world::World;
 use std::collections::HashMap;
 use std::time::Duration;
+use tdp_attrspace::client::Notification;
 use tdp_attrspace::AttrClient;
 use tdp_netsim::Conn;
 use tdp_proto::{
@@ -98,7 +99,6 @@ type AttrCallback = Box<dyn FnMut(&str, &str) + Send>;
 struct CallbackEntry {
     f: AttrCallback,
     persistent: bool,
-    key: String,
 }
 
 /// Completion queued by `async_put` so its callback runs at the next
@@ -272,7 +272,6 @@ impl TdpHandle {
             CallbackEntry {
                 f: Box::new(callback),
                 persistent: false,
-                key: key.to_string(),
             },
         );
         Ok(token)
@@ -299,7 +298,6 @@ impl TdpHandle {
             CallbackEntry {
                 f: Box::new(callback),
                 persistent: false,
-                key: key.to_string(),
             },
         );
         self.completions.push(PendingCompletion {
@@ -310,8 +308,20 @@ impl TdpHandle {
         Ok(token)
     }
 
-    /// Persistent subscription: `callback` runs on *every* put of `key`
-    /// (auto re-subscribes). TDP extension used for status monitoring.
+    /// Persistent watch, a TDP extension used for status monitoring:
+    /// `callback` runs at once if `key` already has a value, then once
+    /// for *every* put of `key`, in put order, until
+    /// [`TdpHandle::cancel`] or `tdp_exit`. Callbacks run only from
+    /// [`TdpHandle::service_events`] / [`TdpHandle::wait_and_service`].
+    /// The watch is one registration on the LASS, made here; puts that
+    /// land between two services are all delivered, none coalesced.
+    ///
+    /// Backpressure: undelivered notifications queue in the transport
+    /// connection to the LASS. Over epoll that queue is bounded by the
+    /// 1024-message inbox and the LASS's 256 KiB outbox; a daemon that
+    /// stops servicing for longer than the transport's `write_timeout`
+    /// while puts keep coming is stall-killed like any peer that stops
+    /// reading. Netsim connections are unbounded.
     pub fn watch(
         &mut self,
         key: &str,
@@ -320,13 +330,12 @@ impl TdpHandle {
         self.check_open()?;
         let token = self.next_token;
         self.next_token += 1;
-        self.lass.subscribe(self.ctx, key, token, false)?;
+        self.lass.watch(self.ctx, key, token)?;
         self.callbacks.insert(
             token,
             CallbackEntry {
                 f: Box::new(callback),
                 persistent: true,
-                key: key.to_string(),
             },
         );
         Ok(token)
@@ -356,16 +365,7 @@ impl TdpHandle {
         }
         // Then notifications from the space.
         while let Some(n) = self.lass.poll_notify() {
-            if let Some(mut entry) = self.callbacks.remove(&n.token) {
-                (entry.f)(&n.key, &n.value);
-                ran += 1;
-                if entry.persistent {
-                    // Re-arm for the *next* put only; re-seeing the value
-                    // just delivered would loop forever.
-                    self.lass.subscribe(self.ctx, &entry.key, n.token, true)?;
-                    self.callbacks.insert(n.token, entry);
-                }
-            }
+            ran += usize::from(self.dispatch(&n));
         }
         if ran > 0 {
             self.world
@@ -373,6 +373,19 @@ impl TdpHandle {
                 .record(&self.actor, format!("tdp_service_event[{ran}]"));
         }
         Ok(ran)
+    }
+
+    /// Run the callback a notification is for, dropping it unless it is
+    /// a watch. False when the token was cancelled.
+    fn dispatch(&mut self, n: &Notification) -> bool {
+        let Some(entry) = self.callbacks.get_mut(&n.token) else {
+            return false;
+        };
+        (entry.f)(&n.key, &n.value);
+        if !entry.persistent {
+            self.callbacks.remove(&n.token);
+        }
+        true
     }
 
     /// Is there activity pending? (The "descriptor is active" check in
@@ -388,15 +401,8 @@ impl TdpHandle {
         if self.completions.is_empty() && !self.lass.has_notify() {
             match self.lass.wait_notify(timeout) {
                 Ok(n) => {
-                    // Re-queue so service_events dispatches uniformly.
-                    if let Some(mut entry) = self.callbacks.remove(&n.token) {
-                        (entry.f)(&n.key, &n.value);
-                        if entry.persistent {
-                            self.lass.subscribe(self.ctx, &entry.key, n.token, true)?;
-                            self.callbacks.insert(n.token, entry);
-                        }
-                        return Ok(1 + self.service_events()?);
-                    }
+                    let ran = usize::from(self.dispatch(&n));
+                    return Ok(ran + self.service_events()?);
                 }
                 Err(TdpError::Timeout) => return Ok(0),
                 Err(e) => return Err(e),

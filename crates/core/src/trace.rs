@@ -7,14 +7,24 @@
 //! (exact where the paper requires it, partial where creation order is
 //! explicitly free — "the creation of the application process and RT can
 //! occur in either order", Figure 3 caption).
+//!
+//! The trace is a ring of the newest [`TRACE_CAPACITY`] events, so a
+//! long-lived world (a gateway, a chaos soak, a benchmark) holds a
+//! bounded log. Sequence numbers stay global: an event keeps the number
+//! of calls recorded before it, evicted ones included.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tdp_sync::Mutex;
+
+/// Events the trace keeps; recording one more evicts the oldest.
+pub const TRACE_CAPACITY: usize = 4096;
 
 /// One recorded TDP call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Global sequence number (0-based).
+    /// Global sequence number (0-based): how many events were recorded
+    /// before this one, evicted ones included.
     pub seq: usize,
     /// Which daemon made the call ("starter", "paradynd", …).
     pub actor: String,
@@ -22,10 +32,17 @@ pub struct TraceEvent {
     pub call: String,
 }
 
-/// A shared, append-only log of TDP calls.
+/// A shared log of the newest [`TRACE_CAPACITY`] TDP calls.
 #[derive(Clone, Default)]
 pub struct Trace {
-    inner: Arc<Mutex<Vec<TraceEvent>>>,
+    inner: Arc<Mutex<Ring>>,
+}
+
+#[derive(Default)]
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    /// Events recorded since creation or the last clear.
+    recorded: usize,
 }
 
 impl Trace {
@@ -33,26 +50,39 @@ impl Trace {
         Trace::default()
     }
 
-    /// Append an event.
+    /// Append an event, evicting the oldest when the ring is full.
     pub fn record(&self, actor: &str, call: impl Into<String>) {
-        let mut log = self.inner.lock();
-        let seq = log.len();
-        log.push(TraceEvent {
-            seq,
+        let mut event = TraceEvent {
+            seq: 0,
             actor: actor.to_string(),
             call: call.into(),
-        });
+        };
+        let evicted = {
+            let mut ring = self.inner.lock();
+            event.seq = ring.recorded;
+            ring.recorded += 1;
+            let evicted = if ring.events.len() == TRACE_CAPACITY {
+                ring.events.pop_front()
+            } else {
+                None
+            };
+            ring.events.push_back(event);
+            evicted
+        };
+        // Free the evicted strings after the lock is released.
+        drop(evicted);
     }
 
-    /// Snapshot of all events so far.
+    /// Snapshot of the events the ring holds, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().clone()
+        self.inner.lock().events.iter().cloned().collect()
     }
 
     /// Events made by one actor, in order.
     pub fn by_actor(&self, actor: &str) -> Vec<TraceEvent> {
         self.inner
             .lock()
+            .events
             .iter()
             .filter(|e| e.actor == actor)
             .cloned()
@@ -64,6 +94,7 @@ impl Trace {
     pub fn seq_of(&self, actor: Option<&str>, needle: &str) -> Option<usize> {
         self.inner
             .lock()
+            .events
             .iter()
             .find(|e| actor.is_none_or(|a| e.actor == a) && e.call.contains(needle))
             .map(|e| e.seq)
@@ -91,15 +122,21 @@ impl Trace {
     pub fn render(&self) -> String {
         self.inner
             .lock()
+            .events
             .iter()
             .map(|e| format!("{:4}  {:<12} {}", e.seq, e.actor, e.call))
             .collect::<Vec<_>>()
             .join("\n")
     }
 
-    /// Drop all events.
+    /// Drop all events and restart sequence numbers at 0.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        let events = {
+            let mut ring = self.inner.lock();
+            ring.recorded = 0;
+            std::mem::take(&mut ring.events)
+        };
+        drop(events);
     }
 
     /// Render the trace as an ASCII sequence diagram over the given
@@ -109,7 +146,7 @@ impl Trace {
     /// Actors matching a name exactly come first; an entry ending in
     /// `*` matches by prefix (e.g. `paradynd*`).
     pub fn render_sequence(&self, actors: &[&str]) -> String {
-        let events = self.inner.lock().clone();
+        let events = self.events();
         let matches = |actor: &str, pat: &str| {
             pat.strip_suffix('*')
                 .map_or(actor == pat, |p| actor.starts_with(p))
@@ -194,6 +231,25 @@ mod tests {
             t.assert_order((Some("rt"), "tdp_attach"), (Some("rm"), "tdp_init"))
         }));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn ring_keeps_newest_events_with_global_seq() {
+        let n = 5;
+        let t = Trace::new();
+        for i in 0..TRACE_CAPACITY + n {
+            t.record("rm", format!("call{i};"));
+        }
+        let ev = t.events();
+        assert_eq!(ev.len(), TRACE_CAPACITY);
+        for (i, e) in ev.iter().enumerate() {
+            assert_eq!(e.seq, n + i);
+            assert_eq!(e.call, format!("call{};", n + i));
+        }
+        // Queries see only what the ring holds, under global numbers.
+        assert_eq!(t.seq_of(None, "call4;"), None);
+        assert_eq!(t.seq_of(Some("rm"), "call4100;"), Some(4100));
+        t.assert_order((None, "call6;"), (None, "call7;"));
     }
 
     #[test]

@@ -153,12 +153,58 @@ fn watch_is_persistent_across_puts() {
         .unwrap();
     for st in ["running", "stopped", "exited:0"] {
         rm.put(names::AP_STATUS, st).unwrap();
-        // Drain between puts: one-shot server subscriptions are
-        // re-armed by service_events, so back-to-back puts without a
-        // drain could coalesce.
+        // Serviced after each put here; back-to-back puts with no
+        // servicing in between are covered by
+        // `watch_delivers_back_to_back_puts_in_order`.
         rt.wait_and_service(T).unwrap();
     }
     assert_eq!(seen.lock().as_slice(), &["running", "stopped", "exited:0"]);
+}
+
+/// 100 puts with no servicing in between must reach a watch as 100
+/// callbacks in put order: the watch is a server-side registration, so
+/// no put can fall between a notification and a re-subscribe.
+fn back_to_back_puts_scenario(w: &World) {
+    const PUTS: usize = 100;
+    let h = w.add_host();
+    let mut rm = TdpHandle::init(w, h, CTX, "rm", Role::ResourceManager).unwrap();
+    let mut rt = TdpHandle::init(w, h, CTX, "rt", Role::Tool).unwrap();
+    let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let s2 = seen.clone();
+    rt.watch(names::AP_STATUS, move |_, v| s2.lock().push(v.to_string()))
+        .unwrap();
+    let puts: Vec<String> = (0..PUTS).map(|i| format!("s{i}")).collect();
+    for v in &puts {
+        rm.put(names::AP_STATUS, v).unwrap();
+    }
+    let deadline = std::time::Instant::now() + T;
+    while seen.lock().len() < PUTS && std::time::Instant::now() < deadline {
+        rt.wait_and_service(T).unwrap();
+    }
+    assert_eq!(*seen.lock(), puts);
+}
+
+#[test]
+fn watch_delivers_back_to_back_puts_in_order() {
+    back_to_back_puts_scenario(&World::new());
+}
+
+#[test]
+fn watch_delivers_back_to_back_puts_in_order_epoll() {
+    back_to_back_puts_scenario(&World::new_epoll());
+}
+
+#[test]
+fn trace_stays_bounded_over_many_puts() {
+    let (w, h) = world_with_app();
+    let mut rm = TdpHandle::init(&w, h, CTX, "rm", Role::ResourceManager).unwrap();
+    for i in 0..10_000 {
+        rm.put("k", &i.to_string()).unwrap();
+    }
+    let events = w.trace().events();
+    assert!(events.len() <= tdp_core::TRACE_CAPACITY, "{}", events.len());
+    // Numbering stays global: init plus 10,000 puts came before now.
+    assert_eq!(events.last().unwrap().seq, 10_000);
 }
 
 #[test]

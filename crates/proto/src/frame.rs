@@ -61,6 +61,7 @@ const T_JOIN: u8 = 7;
 const T_LEAVE: u8 = 8;
 const T_REPLY: u8 = 9;
 const T_HELLO: u8 = 10;
+const T_WATCH: u8 = 11;
 
 // Reply tags.
 const R_OK: u8 = 1;
@@ -127,7 +128,7 @@ impl DecodeScratch {
                 self.recycle_string(value);
             }
             Message::Get { key, .. } | Message::Remove { key, .. } => self.recycle_string(key),
-            Message::Subscribe { key, .. } => self.recycle_string(key),
+            Message::Subscribe { key, .. } | Message::Watch { key, .. } => self.recycle_string(key),
             Message::ListKeys { prefix, .. } => self.recycle_string(prefix),
             Message::Reply(r) => self.recycle_reply(r),
             Message::Unsubscribe { .. }
@@ -261,6 +262,12 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             put_str(buf, key);
             buf.put_u64(*token);
             buf.put_u8(u8::from(*only_future));
+        }
+        Message::Watch { ctx, key, token } => {
+            buf.put_u8(T_WATCH);
+            buf.put_u64(ctx.0);
+            put_str(buf, key);
+            buf.put_u64(*token);
         }
         Message::Unsubscribe { ctx, token } => {
             buf.put_u8(T_UNSUBSCRIBE);
@@ -491,6 +498,12 @@ fn decode_body(cur: &mut Cursor<'_>, scratch: &mut DecodeScratch) -> Result<Mess
                 only_future,
             })
         }
+        T_WATCH => {
+            let ctx = cur.get_ctx()?;
+            let key = cur.get_str(scratch)?;
+            let token = cur.get_u64()?;
+            Ok(Message::Watch { ctx, key, token })
+        }
         T_UNSUBSCRIBE => {
             let ctx = cur.get_ctx()?;
             let token = cur.get_u64()?;
@@ -598,6 +611,11 @@ mod tests {
             key: "ap_status".into(),
             token: 100,
             only_future: true,
+        });
+        roundtrip(Message::Watch {
+            ctx,
+            key: "ap_status".into(),
+            token: 101,
         });
         roundtrip(Message::Unsubscribe { ctx, token: 99 });
         roundtrip(Message::ListKeys {
@@ -819,6 +837,11 @@ mod tests {
                 ctx: ContextId(7),
                 key: "k".into(),
                 value: "v".into(),
+            },
+            Message::Watch {
+                ctx: ContextId(7),
+                key: "k".into(),
+                token: 5,
             },
             Message::Reply(Reply::Value {
                 key: "k".into(),

@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The put/get pair is the §3.2 interface; `Subscribe` backs
 /// `tdp_async_get` (the server pushes a [`Reply::Notify`] when the
-/// attribute is stored), `Join`/`Leave` back context reference counting
-/// (`tdp_init` / `tdp_exit`).
+/// attribute is stored), `Watch` backs persistent status watches (a
+/// `Reply::Notify` on every put), `Join`/`Leave` back context reference
+/// counting (`tdp_init` / `tdp_exit`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Message {
     /// `tdp_put(handle, attribute, value)`.
@@ -32,18 +33,26 @@ pub enum Message {
     /// Remove an attribute ("attributes and values can be inserted and
     /// removed", §2.1). Succeeds even when absent.
     Remove { ctx: ContextId, key: String },
-    /// Register interest: the server sends `Reply::Notify` carrying
-    /// `token` when `key` is put. With `only_future` false, an already
-    /// existing value notifies immediately (the `tdp_async_get` case);
-    /// with it true, only a subsequent put fires (persistent watches
-    /// re-arming without re-seeing the current value).
+    /// Register one-shot interest: the server sends one `Reply::Notify`
+    /// carrying `token` when `key` is put. With `only_future` false, an
+    /// already existing value notifies immediately (the `tdp_async_get`
+    /// case); with it true, only a subsequent put fires.
     Subscribe {
         ctx: ContextId,
         key: String,
         token: u64,
         only_future: bool,
     },
-    /// Cancel a subscription.
+    /// Register a persistent watch: the server sends a `Reply::Notify`
+    /// carrying `token` at once if `key` has a value, then on every put
+    /// of `key`, until the watch is cancelled with `Unsubscribe`, the
+    /// client disconnects or the context is destroyed.
+    Watch {
+        ctx: ContextId,
+        key: String,
+        token: u64,
+    },
+    /// Cancel a subscription or a watch.
     Unsubscribe { ctx: ContextId, token: u64 },
     /// Enumerate keys in the context with the given prefix (diagnostic /
     /// tooling extension).
@@ -73,7 +82,7 @@ pub enum Reply {
     Value { key: String, value: String },
     /// Result of `ListKeys`.
     Keys(Vec<String>),
-    /// Asynchronous notification for a `Subscribe`.
+    /// Asynchronous notification for a `Subscribe` or a `Watch`.
     Notify {
         token: u64,
         key: String,

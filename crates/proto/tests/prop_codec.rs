@@ -33,6 +33,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 only_future
             }
         ),
+        (ctx.clone(), arb_string(), any::<u64>()).prop_map(|(ctx, key, token)| Message::Watch {
+            ctx,
+            key,
+            token
+        }),
         (ctx.clone(), any::<u64>()).prop_map(|(ctx, token)| Message::Unsubscribe { ctx, token }),
         (ctx.clone(), arb_string()).prop_map(|(ctx, prefix)| Message::ListKeys { ctx, prefix }),
         ctx.clone().prop_map(|ctx| Message::Join { ctx }),

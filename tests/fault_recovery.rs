@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use tdp::attrspace::ReconnectPolicy;
 use tdp::core::{Role, TdpCreate, TdpHandle, World};
 use tdp::proto::{names, ContextId, HostId, ProcStatus, TdpError};
 use tdp::simos::{fn_program, ExecImage};
@@ -137,6 +138,42 @@ fn lass_crash_fails_operations_cleanly() {
             Err(TdpError::AttributeNotFound(_))
         ));
         rm2.put("k", "v3").unwrap();
+    }
+}
+
+#[test]
+fn watch_survives_lass_restart() {
+    // A redial-armed session replays its watches: after the LASS
+    // restarts (empty), the watch fires on the first put and keeps
+    // firing on the next.
+    for (backend, w) in worlds() {
+        let h = w.add_host();
+        let lass = w.ensure_lass(h).unwrap();
+        let policy = ReconnectPolicy::builder()
+            .base(Duration::from_millis(5))
+            .build();
+        let mut watcher = w.attr_connect_reliable(h, lass, policy).unwrap();
+        watcher.join(CTX).unwrap();
+        watcher.watch(CTX, names::AP_STATUS, 7).unwrap();
+        w.kill_lass(h);
+        let lass = w.ensure_lass(h).unwrap();
+        // The watcher's next request notices the restart, redials and
+        // replays its join and watch.
+        assert!(
+            matches!(
+                watcher.try_get(CTX, names::AP_STATUS),
+                Err(TdpError::AttributeNotFound(_))
+            ),
+            "{backend}"
+        );
+        assert_eq!(watcher.reconnects(), 1, "{backend}");
+        let mut writer = w.attr_connect(h, lass).unwrap();
+        writer.join(CTX).unwrap();
+        for v in ["running", "exited:0"] {
+            writer.put(CTX, names::AP_STATUS, v).unwrap();
+            let n = watcher.wait_notify(T).unwrap();
+            assert_eq!((n.token, n.value.as_str()), (7, v), "{backend}");
+        }
     }
 }
 
