@@ -1,14 +1,18 @@
 //! A small HTTP/1.1 server on the wire crate's epoll machinery.
 //!
-//! One reactor thread owns the non-blocking listener and an
-//! [`Epoll`](tdp_wire::sys::Epoll) set; connections are registered
-//! `EPOLLONESHOT`, so a fired connection is exclusively the reactor's
-//! until it is re-armed. Complete requests are handed to a fixed worker
-//! pool over a crossbeam channel; the worker writes the response,
-//! drains any pipelined follow-up requests, and re-arms the connection
-//! itself (`epoll_ctl` is thread-safe, so no reactor round trip is
-//! needed). This is the same shape as the attrspace epoll backend, cut
-//! down to request/response instead of framed sessions.
+//! Leader/follower: each of the `workers` threads waits on one shared
+//! [`Epoll`](tdp_wire::sys::Epoll) set itself, taking one event per
+//! wait so a burst of ready connections spreads across the workers.
+//! The listener and every connection are registered `EPOLLONESHOT`, so
+//! a fired registration belongs to exactly the one worker that woke
+//! for it until that worker re-arms it. Woken for the listener, a
+//! worker accepts everything pending and re-arms the listener; woken
+//! for a connection, it reads the socket, answers every complete
+//! (pipelined) request in the buffer by calling the handler inline,
+//! and then re-arms the connection or closes it. No thread hands a
+//! request to another, so a request costs one wake-up. Shutdown signals
+//! a level-triggered eventfd that is never drained, which wakes every
+//! worker at once.
 //!
 //! Scope: `POST` with `Content-Length` (JSON-RPC) and bare `GET`
 //! (health probes). No chunked transfer, no TLS — the gateway fronts a
@@ -19,14 +23,13 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use tdp_sync::Mutex;
-use tdp_wire::sys::{Epoll, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
+use tdp_wire::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
 
 /// Largest accepted head (request line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
@@ -37,8 +40,10 @@ const MAX_BODY: usize = 4 * 1024 * 1024;
 const WRITE_STALL: Duration = Duration::from_secs(5);
 
 const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKEUP: u64 = 1;
+const TOKEN_STOP: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
+
+const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
 
 /// One parsed inbound request.
 #[derive(Debug, Clone)]
@@ -53,10 +58,9 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// Case-insensitive header lookup (names are stored lowercased).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -131,26 +135,30 @@ enum Parsed {
     Partial,
     /// One full request; `consumed` bytes should be drained.
     Done(HttpRequest, usize),
-    /// Unrecoverable framing problem; connection must close.
-    Bad(&'static str),
+    /// Unrecoverable framing problem: answer with this status and
+    /// close the connection.
+    Bad(u16, &'static str),
 }
 
 fn parse_one(buf: &[u8]) -> Parsed {
-    let head_end = match find_head_end(buf) {
+    // Search no further than a head of MAX_HEAD bytes plus its blank
+    // line could reach, so a huge head is refused whether it arrived in
+    // one read or trickled in.
+    let head_end = match find_head_end(&buf[..buf.len().min(MAX_HEAD + 4)]) {
         Some(i) => i,
-        None if buf.len() > MAX_HEAD => return Parsed::Bad("header section too large"),
+        None if buf.len() >= MAX_HEAD + 4 => return Parsed::Bad(400, "header section too large"),
         None => return Parsed::Partial,
     };
     let head = match std::str::from_utf8(&buf[..head_end]) {
         Ok(h) => h,
-        Err(_) => return Parsed::Bad("non-UTF-8 header section"),
+        Err(_) => return Parsed::Bad(400, "non-UTF-8 header section"),
     };
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_ascii_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => return Parsed::Bad("malformed request line"),
+        _ => return Parsed::Bad(400, "malformed request line"),
     };
     let mut headers = Vec::new();
     let mut content_length = 0usize;
@@ -159,20 +167,20 @@ fn parse_one(buf: &[u8]) -> Parsed {
             continue;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Parsed::Bad("malformed header line");
+            return Parsed::Bad(400, "malformed header line");
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim().to_string();
         if name == "content-length" {
             content_length = match value.parse() {
                 Ok(n) => n,
-                Err(_) => return Parsed::Bad("bad content-length"),
+                Err(_) => return Parsed::Bad(400, "bad content-length"),
             };
         }
         headers.push((name, value));
     }
     if content_length > MAX_BODY {
-        return Parsed::Bad("body too large");
+        return Parsed::Bad(413, "body too large");
     }
     let body_start = head_end + 4;
     let total = body_start + content_length;
@@ -213,16 +221,18 @@ impl Conn {
 
 struct Shared {
     epoll: Epoll,
-    wakeup: EventFd,
+    /// Level-triggered and never drained: once signalled, every
+    /// `epoll_wait` on the set returns it, so every worker stops.
+    stop: EventFd,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    next_token: AtomicU64,
     handler: Handler,
-    stop: AtomicBool,
 }
 
 impl Shared {
     fn close(&self, conn: &Conn) {
-        // Delete before dropping the map entry so the reactor can never
-        // see a readiness event for a token it just freed.
+        // Delete before dropping the map entry so no worker can see a
+        // readiness event for a token that was just freed.
         let _ = self.epoll.delete(conn.fd());
         self.conns.lock().remove(&conn.token);
     }
@@ -230,7 +240,7 @@ impl Shared {
     fn rearm(&self, conn: &Conn) {
         if self
             .epoll
-            .modify(conn.fd(), EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, conn.token)
+            .modify(conn.fd(), CONN_EVENTS, conn.token)
             .is_err()
         {
             self.close(conn);
@@ -241,7 +251,7 @@ impl Shared {
 // -------------------------------------------------------------- server
 
 /// A running HTTP server; dropping it (or calling [`shutdown`]) stops
-/// the reactor and worker threads.
+/// the worker threads.
 ///
 /// [`shutdown`]: HttpServer::shutdown
 pub struct HttpServer {
@@ -251,47 +261,39 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// reactor plus `workers` handler threads.
+    /// Bind `addr` (use port 0 for an ephemeral port) and start
+    /// `workers` threads, each of which waits on the epoll set, accepts,
+    /// reads and runs the handler.
     pub fn bind(addr: &str, workers: usize, handler: Handler) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             epoll: Epoll::new()?,
-            wakeup: EventFd::new()?,
+            stop: EventFd::new()?,
             conns: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
             handler,
-            stop: AtomicBool::new(false),
         });
         shared
             .epoll
-            .add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        shared
-            .epoll
-            .add(shared.wakeup.fd(), EPOLLIN, TOKEN_WAKEUP)?;
+            .add(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER)?;
+        shared.epoll.add(shared.stop.fd(), EPOLLIN, TOKEN_STOP)?;
 
-        let (tx, rx) = channel::unbounded::<Arc<Conn>>();
-        let mut threads = Vec::new();
-        for i in 0..workers.max(1) {
-            let rx: Receiver<Arc<Conn>> = rx.clone();
-            let shared = Arc::clone(&shared);
-            threads.push(
+        // The workers own the listener between them: it closes when the
+        // last one exits, so `shutdown` stops accepting once it has
+        // joined them.
+        let listener = Arc::new(listener);
+        let threads = (0..workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let listener = Arc::clone(&listener);
                 std::thread::Builder::new()
                     .name(format!("gw-http-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn http worker"),
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gw-http-reactor".into())
-                    .spawn(move || reactor_loop(&shared, &listener, &tx))
-                    .expect("spawn http reactor"),
-            );
-        }
+                    .spawn(move || worker_loop(&shared, &listener))
+                    .expect("spawn http worker")
+            })
+            .collect();
         Ok(HttpServer {
             addr,
             shared,
@@ -311,8 +313,7 @@ impl HttpServer {
 
     /// Stop accepting, close all connections, join all threads.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wakeup.signal();
+        self.shared.stop.signal();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -326,37 +327,40 @@ impl Drop for HttpServer {
     }
 }
 
-fn reactor_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<Arc<Conn>>) {
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut events = [tdp_wire::sys::EpollEvent {
+fn worker_loop(shared: &Shared, listener: &TcpListener) {
+    let mut events = [EpollEvent {
         events: 0,
         token: 0,
-    }; 64];
-    while !shared.stop.load(Ordering::SeqCst) {
-        let ready = match shared.epoll.wait(&mut events, 200) {
-            Ok(r) => r,
-            Err(_) => break,
+    }];
+    loop {
+        let token = match shared.epoll.wait(&mut events, -1) {
+            Ok([ev]) => ev.token,
+            Ok(_) => continue,
+            Err(_) => return,
         };
-        // Copy tokens out: handling may mutate the conn map.
-        let tokens: Vec<u64> = ready.iter().map(|e| e.token).collect();
-        for token in tokens {
-            match token {
-                TOKEN_WAKEUP => shared.wakeup.drain(),
-                TOKEN_LISTENER => accept_all(shared, listener, &mut next_token),
-                t => {
-                    let conn = shared.conns.lock().get(&t).cloned();
-                    if let Some(conn) = conn {
-                        pump_conn(shared, &conn, tx);
-                    }
+        match token {
+            TOKEN_STOP => return,
+            TOKEN_LISTENER => {
+                accept_all(shared, listener);
+                if shared
+                    .epoll
+                    .modify(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER)
+                    .is_err()
+                {
+                    return;
+                }
+            }
+            t => {
+                let conn = shared.conns.lock().get(&t).cloned();
+                if let Some(conn) = conn {
+                    serve_conn(shared, &conn);
                 }
             }
         }
     }
-    // Closing the epoll fd (via Drop) detaches every registration; the
-    // conn sockets close when their Arcs drop with the map.
 }
 
-fn accept_all(shared: &Shared, listener: &TcpListener, next: &mut u64) {
+fn accept_all(shared: &Shared, listener: &TcpListener) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -364,19 +368,14 @@ fn accept_all(shared: &Shared, listener: &TcpListener, next: &mut u64) {
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let token = *next;
-                *next += 1;
+                let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
                 let conn = Arc::new(Conn {
                     stream,
                     token,
                     buf: Mutex::new(Vec::new()),
                 });
                 shared.conns.lock().insert(token, Arc::clone(&conn));
-                if shared
-                    .epoll
-                    .add(conn.fd(), EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, token)
-                    .is_err()
-                {
+                if shared.epoll.add(conn.fd(), CONN_EVENTS, token).is_err() {
                     shared.conns.lock().remove(&token);
                 }
             }
@@ -387,74 +386,13 @@ fn accept_all(shared: &Shared, listener: &TcpListener, next: &mut u64) {
     }
 }
 
-/// Read whatever the socket has, then either dispatch a complete
-/// request to the workers or re-arm and keep waiting. Runs on the
-/// reactor, with the oneshot registration quiesced, so it is the only
-/// thread touching this conn.
-fn pump_conn(shared: &Shared, conn: &Arc<Conn>, tx: &Sender<Arc<Conn>>) {
-    let mut eof = false;
-    {
-        let mut buf = conn.buf.lock();
-        let mut chunk = [0u8; 8192];
-        loop {
-            match (&conn.stream).read(&mut chunk) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    eof = true;
-                    break;
-                }
-            }
-        }
-    }
-    let complete = {
-        let buf = conn.buf.lock();
-        !buf.is_empty() && head_complete(&buf)
-    };
-    if complete {
-        // Hand the conn to a worker; it re-arms (or closes) when done.
-        if tx.send(Arc::clone(conn)).is_err() {
-            shared.close(conn);
-        }
-    } else if eof {
-        shared.close(conn);
-    } else {
-        shared.rearm(conn);
-    }
-}
-
-/// Cheap completeness probe: workers re-run the full parser, this only
-/// decides whether dispatching is worthwhile yet.
-fn head_complete(buf: &[u8]) -> bool {
-    match parse_one(buf) {
-        Parsed::Partial => false,
-        Parsed::Done(..) | Parsed::Bad(_) => true,
-    }
-}
-
-fn worker_loop(shared: &Shared, rx: &Receiver<Arc<Conn>>) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn = match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(c) => c,
-            Err(channel::RecvTimeoutError::Timeout) => continue,
-            Err(channel::RecvTimeoutError::Disconnected) => return,
-        };
-        serve_conn(shared, &conn);
-    }
-}
-
-/// Answer every complete request already buffered on `conn`, then
-/// re-arm it. The oneshot registration is quiescent for the whole call,
-/// so the worker has exclusive use of the connection.
-fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
+/// Read whatever the socket has, answer every complete request in the
+/// buffer, then re-arm the connection (or close it on EOF, error,
+/// `connection: close` or a malformed request). The oneshot
+/// registration is quiescent for the whole call, so the calling worker
+/// has exclusive use of the connection.
+fn serve_conn(shared: &Shared, conn: &Conn) {
+    let eof = fill(conn);
     loop {
         let parsed = {
             let mut buf = conn.buf.lock();
@@ -463,12 +401,8 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
                     buf.drain(..consumed);
                     Ok(req)
                 }
-                Parsed::Partial => {
-                    drop(buf);
-                    shared.rearm(conn);
-                    return;
-                }
-                Parsed::Bad(why) => Err(why),
+                Parsed::Partial => break,
+                Parsed::Bad(status, why) => Err((status, why)),
             }
         };
         match parsed {
@@ -480,12 +414,41 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
                     return;
                 }
             }
-            Err(why) => {
-                let resp = HttpResponse::text(400, format!("bad request: {why}\n"));
+            Err((status, why)) => {
+                let resp = HttpResponse::text(status, format!("bad request: {why}\n"));
                 let _ = write_all(conn, &resp.render(false));
                 shared.close(conn);
                 return;
             }
+        }
+    }
+    if eof {
+        shared.close(conn);
+    } else {
+        shared.rearm(conn);
+    }
+}
+
+/// Append everything the socket has to the connection's buffer. Returns
+/// true when the peer has closed (or the socket failed).
+fn fill(conn: &Conn) -> bool {
+    let mut buf = conn.buf.lock();
+    let mut chunk = [0u8; 8192];
+    loop {
+        match (&conn.stream).read(&mut chunk) {
+            Ok(0) => return true,
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                // A short read emptied the socket: skip the read that
+                // would only say so. Whatever arrives next, EOF
+                // included, fires the re-armed registration.
+                if n < chunk.len() {
+                    return false;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return true,
         }
     }
 }
@@ -603,5 +566,168 @@ mod tests {
         srv.shutdown();
         // Listener is gone: connecting now fails or is refused quickly.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+    }
+
+    #[test]
+    fn header_lookup_ignores_case() {
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: "/".into(),
+            headers: vec![
+                ("x-api-key".into(), "k1".into()),
+                ("connection".into(), "Close".into()),
+            ],
+            body: Vec::new(),
+        };
+        assert_eq!(req.header("X-Api-Key"), Some("k1"));
+        assert_eq!(req.header("x-api-key"), Some("k1"));
+        assert_eq!(req.header("CONNECTION"), Some("Close"));
+        assert_eq!(req.header("content-length"), None);
+        assert!(wants_close(&req));
+    }
+
+    #[test]
+    fn body_over_cap_gets_413_and_close() {
+        let srv = echo_server();
+        let out = raw_roundtrip(
+            srv.addr(),
+            &format!(
+                "POST /rpc HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                MAX_BODY + 1
+            ),
+        );
+        assert!(
+            out.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "{out}"
+        );
+        assert!(out.contains("connection: close\r\n"), "{out}");
+
+        // A body of exactly MAX_BODY is waited for, not refused.
+        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        s.write_all(format!("POST /rpc HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n").as_bytes())
+            .unwrap();
+        s.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        let err = (&s).read(&mut buf).unwrap_err();
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn head_over_cap_gets_400_and_close() {
+        let srv = echo_server();
+        let head = |pad: usize| {
+            format!(
+                "GET /big HTTP/1.1\r\nconnection: close\r\nx-pad: {}\r\n\r\n",
+                "a".repeat(pad)
+            )
+        };
+        let out = raw_roundtrip(srv.addr(), &head(MAX_HEAD));
+        assert!(out.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{out}");
+        assert!(out.contains("header section too large"), "{out}");
+
+        // Just under the cap is served.
+        let out = raw_roundtrip(srv.addr(), &head(MAX_HEAD - 100));
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+    }
+
+    #[test]
+    fn blocked_handler_does_not_delay_another_connection() {
+        let (entered_tx, entered_rx) = crossbeam::channel::bounded::<()>(1);
+        let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(1);
+        let srv = HttpServer::bind(
+            "127.0.0.1:0",
+            2,
+            Arc::new(move |req: &HttpRequest| {
+                if req.path == "/block" {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                }
+                HttpResponse::json(200, format!("{{\"path\":\"{}\"}}", req.path))
+            }),
+        )
+        .unwrap();
+
+        let mut blocked = TcpStream::connect(srv.addr()).unwrap();
+        blocked
+            .write_all(b"GET /block HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("handler never entered");
+
+        // One worker is parked in the handler; the other serves this.
+        let out = raw_roundtrip(
+            srv.addr(),
+            "GET /fast HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        assert!(out.ends_with("{\"path\":\"/fast\"}"), "{out}");
+
+        release_tx.send(()).unwrap();
+        blocked
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut out = String::new();
+        let _ = blocked.read_to_string(&mut out);
+        assert!(out.ends_with("{\"path\":\"/block\"}"), "{out}");
+    }
+
+    #[test]
+    fn request_split_across_writes_answered_once() {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let srv = {
+            let calls = Arc::clone(&calls);
+            HttpServer::bind(
+                "127.0.0.1:0",
+                2,
+                Arc::new(move |req: &HttpRequest| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    HttpResponse::json(200, req.body.clone())
+                }),
+            )
+            .unwrap()
+        };
+        let body = r#"{"x":1}"#;
+        let head = format!(
+            "POST /rpc HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        );
+        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        // Half the head, the rest of it, then the body: each pause
+        // makes the server re-arm with a partial request buffered.
+        let (a, b) = head.split_at(10);
+        for part in [a, b, body] {
+            s.write_all(part.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut out = String::new();
+        let _ = s.read_to_string(&mut out);
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+        assert!(out.ends_with(body), "{out}");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn half_request_then_close_gets_no_response() {
+        let srv = echo_server();
+        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        s.write_all(b"POST /rpc HTTP/1.1\r\ncontent-length: 10\r\n\r\n{\"x")
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while srv.open_connections() != 1 {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        assert_eq!(out, "");
+        // The server forgets the connection before its socket closes.
+        assert_eq!(srv.open_connections(), 0);
     }
 }

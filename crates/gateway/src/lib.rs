@@ -18,8 +18,9 @@
 //!   [`Supervisor`](tdp_ops::Supervisor) for auto-restart;
 //! * **auth** ([`auth`]): per-client API keys carrying tool allowlists
 //!   (exact names or single-`*` globs);
-//! * **transport** ([`http`]): a hand-rolled epoll HTTP/1.1 server on
-//!   the wire crate's reactor machinery — no new dependencies.
+//! * **transport** ([`http`]): a hand-rolled HTTP/1.1 server on
+//!   the wire crate's epoll machinery, served leader/follower by its
+//!   worker threads — no new dependencies.
 //!
 //! The assembled daemon is [`Gateway`]; the transport-free dispatch
 //! core is [`GatewayCore`] (what unit tests drive). [`HttpRpcClient`]

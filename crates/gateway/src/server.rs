@@ -54,7 +54,9 @@ const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct GatewayConfig {
     /// HTTP bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// HTTP worker threads (concurrent in-flight requests).
+    /// HTTP worker threads (concurrent in-flight requests). Each worker
+    /// also waits on the server's epoll set, accepts, and reads its own
+    /// connections; there is no other HTTP thread.
     pub workers: usize,
     /// TDP sessions in the attribute bridge pool — the `n` every HTTP
     /// client multiplexes onto.
@@ -421,7 +423,8 @@ impl Gateway {
         self.http.open_connections()
     }
 
-    /// Stop the HTTP server (joins reactor + workers).
+    /// Stop the HTTP server (closes the listener and every connection,
+    /// joins the workers).
     pub fn shutdown(&mut self) {
         self.http.shutdown();
     }
